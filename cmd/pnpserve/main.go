@@ -11,17 +11,17 @@
 //	pnpserve -addr :8080 -dir ./models
 //	pnpserve -addr :8080 -dir ./models -preload haswell/time,skylake/edp
 //
-// Endpoints (legacy pre-versioning aliases in parentheses):
+// Endpoints:
 //
-//	POST   /v1/predict    (/predict)  {"machine","objective","graph",...} → picks
-//	POST   /v1/tune       (/tune)     bounded engine session; "async":true → job
-//	GET    /v1/jobs[/{id}]            list / poll async tuning jobs
-//	DELETE /v1/jobs/{id}              cancel an async tuning job
-//	GET    /v1/models     (/models)   registry contents (cached + on disk)
-//	GET    /v1/models/{id}            one model's version + refresh detail
-//	GET    /v1/healthz    (/healthz)  liveness + traffic + per-route counters
-//	GET    /v1/traces/{id}            one request's recorded span timeline
-//	GET    /metrics                   Prometheus text exposition
+//	POST   /v1/predict      {"machine","objective","graph",...} → picks
+//	POST   /v1/tune         bounded engine session; "async":true → job
+//	GET    /v1/jobs[/{id}]  list / poll async tuning jobs
+//	DELETE /v1/jobs/{id}    cancel an async tuning job
+//	GET    /v1/models       registry contents (cached + on disk)
+//	GET    /v1/models/{id}  one model's version + refresh detail
+//	GET    /v1/healthz      liveness + traffic + per-route counters
+//	GET    /v1/traces/{id}  one request's recorded span timeline
+//	GET    /metrics         Prometheus text exposition
 //
 // With -refresh-threshold N, tune sessions carrying a measure_budget
 // feed their real-execution samples back into the registry; every N

@@ -6,9 +6,8 @@
 //
 // It exercises the whole v1 surface: health, model listing, /v1/predict,
 // a synchronous /v1/tune, the async job lifecycle (submit → poll →
-// result, with sync/async parity asserted bit-for-bit), cancellation of
-// an unknown job, and legacy-alias parity (/predict and /tune must
-// return byte-identical bodies to their /v1 equivalents).
+// result, with sync/async parity asserted bit-for-bit), stable error
+// codes, and model listing.
 //
 // With -refresh it additionally closes the measure→learn loop end to
 // end: a measured tune job (measure_budget > 0) must report real runs
@@ -23,13 +22,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"reflect"
 	"time"
@@ -109,14 +105,7 @@ func main() {
 		fail("oversized budget code = %q, want budget_exceeded (%v)", client.ErrorCode(err), err)
 	}
 
-	// 6. Legacy aliases answer byte-identically to v1.
-	step("legacy-alias parity")
-	legacyParity(ctx, *base, "/predict", api.PathPredict, api.PredictRequest{
-		Machine: *machine, Objective: "time", Graph: graphJSON,
-	})
-	legacyParity(ctx, *base, "/tune", api.PathTune, treq)
-
-	// 7. Model listing includes what we just trained.
+	// 6. Model listing includes what we just trained.
 	step("GET /v1/models")
 	models, err := c.ListModels(ctx)
 	check(err, "list models")
@@ -124,7 +113,7 @@ func main() {
 		fail("no models listed after serving")
 	}
 
-	// 8. The measure→learn loop: measured tune → samples → refresh →
+	// 7. The measure→learn loop: measured tune → samples → refresh →
 	// canary → promoted version, observable through /v1/models/{id}.
 	if *refresh {
 		refreshLoop(ctx, c, *machine, region.ID, graphJSON)
@@ -237,37 +226,6 @@ func waitHealthy(ctx context.Context, c *client.Client) {
 		case <-time.After(500 * time.Millisecond):
 		}
 	}
-}
-
-// legacyParity posts the same body to the legacy path and its v1
-// successor and requires byte-identical response bodies plus the
-// deprecation headers on the alias.
-func legacyParity(ctx context.Context, base, legacyPath, v1Path string, reqBody any) {
-	payload, err := json.Marshal(reqBody)
-	check(err, "marshal parity body")
-	do := func(path string) ([]byte, *http.Response) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(payload))
-		check(err, "build parity request")
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		check(err, "POST "+path)
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		check(err, "read "+path)
-		if resp.StatusCode != http.StatusOK {
-			fail("%s status %d: %s", path, resp.StatusCode, body)
-		}
-		return body, resp
-	}
-	v1Body, _ := do(v1Path)
-	legacyBody, legacyResp := do(legacyPath)
-	if !bytes.Equal(v1Body, legacyBody) {
-		fail("%s diverges from %s:\n%s\n%s", legacyPath, v1Path, legacyBody, v1Body)
-	}
-	if legacyResp.Header.Get("Deprecation") != "true" {
-		fail("%s not flagged deprecated", legacyPath)
-	}
-	fmt.Printf("  %s ≡ %s (%d bytes)\n", legacyPath, v1Path, len(v1Body))
 }
 
 func step(name string) { fmt.Println("==>", name) }

@@ -9,9 +9,8 @@
 // All endpoints are mounted under the Version prefix ("/v1"). Breaking
 // changes to any type in this package require a new version prefix; the
 // old prefix keeps serving the old contract for at least one release.
-// The pre-versioning paths (/predict, /tune, /healthz, /models) remain
-// as deprecated aliases of their /v1 equivalents: same handlers, same
-// bodies, plus a Deprecation response header.
+// The pre-versioning aliases (/predict, /tune, /healthz, /models) have
+// been removed and answer not_found.
 //
 // # Errors
 //

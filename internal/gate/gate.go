@@ -2,7 +2,6 @@ package gate
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/client"
+	"pnptuner/internal/httpx"
 	"pnptuner/internal/telemetry"
 )
 
@@ -57,7 +57,7 @@ type Gate struct {
 	pool     *client.Pool
 	policy   client.RetryPolicy
 	tele     *gateTelemetry
-	metrics  *routeMetrics
+	routes   *httpx.Routes
 	start    time.Time
 
 	attemptTimeout time.Duration
@@ -119,7 +119,7 @@ func New(cfg Config) (*Gate, error) {
 		pool:           pool,
 		policy:         client.DefaultRetryPolicy(),
 		tele:           tele,
-		metrics:        newRouteMetrics(tele.tel),
+		routes:         httpx.NewRoutes(tele.tel, "pnpgate"),
 		start:          time.Now(),
 		attemptTimeout: attemptTimeout,
 		hedgeDelay:     cfg.HedgeDelay,
@@ -308,42 +308,39 @@ func (g *Gate) singleFlight(ctx context.Context, key string, fn func() error) er
 }
 
 // Handler returns the gate's HTTP handler: the same /v1 surface as one
-// replica, fronting the whole cluster.
+// replica, fronting the whole cluster, with the same middleware and the
+// same route labels (as the pnpgate_http_* families).
 func (g *Gate) Handler() http.Handler {
-	wrap := func(route string, h http.HandlerFunc) http.HandlerFunc {
-		return g.metrics.wrap(route, func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	route := func(pattern string, h http.HandlerFunc) {
+		g.routes.Handle(mux, pattern, func(w http.ResponseWriter, r *http.Request) {
 			g.served.Inc()
 			h(w, r)
 		})
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc(api.PathPredict, wrap(api.PathPredict, g.handlePredict))
-	mux.HandleFunc(api.PathTune, wrap(api.PathTune, g.handleTune))
-	mux.HandleFunc(api.PathJobs, wrap(api.PathJobs, g.handleJobs))
-	mux.HandleFunc(api.PathJobs+"/", wrap(api.PathJobs+"/{id}", g.handleJob))
-	mux.HandleFunc(api.PathModels, wrap(api.PathModels, g.handleModels))
-	mux.HandleFunc(api.PathModels+"/", wrap(api.PathModels+"/{id}", g.handleModelDetail))
-	mux.HandleFunc(api.PathHealthz, wrap(api.PathHealthz, g.handleHealthz))
-	mux.HandleFunc(api.PathTraces+"/", wrap(api.PathTraces+"/{id}", g.handleTrace))
+	route(api.PathPredict, g.handlePredict)
+	route(api.PathTune, g.handleTune)
+	route(api.PathJobs, g.handleJobs)
+	route(api.PathJobs+"/", g.handleJob)
+	route(api.PathModels, g.handleModels)
+	route(api.PathModels+"/", g.handleModelDetail)
+	route(api.PathHealthz, g.handleHealthz)
+	route(api.PathTraces+"/", httpx.TraceHandler(g.tele.rec))
+	g.routes.Handle(mux, "/", httpx.NotFound)
 	// Like the replicas: /metrics is unversioned and unwrapped, so
 	// scrapes never skew the route families they report.
 	mux.Handle("/metrics", g.tele.tel.Handler())
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
-	})
-	return telemetry.WithRequestID(g.tele.rec, withDeadline(mux))
+	return telemetry.WithRequestID(g.tele.rec, httpx.WithDeadline(mux))
 }
 
 // handlePredict proxies POST /v1/predict to the key's replica, with
 // failover (pure compute — idempotent) and cold-key single flight.
 func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "predict requires POST")
+	if !httpx.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req api.PredictRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		g.writeError(w, r, api.CodeBadRequest, "decode request: %v", err)
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Scenario == "" {
@@ -366,14 +363,14 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// than turning cluster-wide trouble into a client-visible 503.
 		if resp, ok := g.degradedPredict(key, req, err); ok {
 			g.degradedHits.Inc()
-			writeJSON(w, http.StatusOK, resp)
+			httpx.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		g.writeCallError(w, r, err)
 		return
 	}
 	g.lkg.put(key, req.Graph, out)
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleTune proxies POST /v1/tune. Synchronous sessions are
@@ -382,13 +379,11 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 // creates a job on exactly one replica, so transport failures must not
 // re-send it — the job ID comes back prefixed with the owning replica.
 func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "tune requires POST")
+	if !httpx.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req api.TuneRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		g.writeError(w, r, api.CodeBadRequest, "decode request: %v", err)
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Scenario == "" {
@@ -412,7 +407,7 @@ func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		job.ID = prefixJobID(on, job.ID)
-		writeJSON(w, http.StatusAccepted, job)
+		httpx.WriteJSON(w, http.StatusAccepted, job)
 		return
 	}
 
@@ -437,15 +432,14 @@ func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
 		g.writeCallError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleJobs merges GET /v1/jobs across live replicas. Jobs on a down
 // replica are invisible until it recovers — they are its local state,
 // not the cluster's.
 func (g *Gate) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "jobs listing requires GET")
+	if !httpx.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	merged := fanout(g, r.Context(), func(ctx context.Context, replica int, c *client.Client) ([]api.Job, error) {
@@ -461,7 +455,7 @@ func (g *Gate) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		return merged[i].ID < merged[j].ID
 	})
-	writeJSON(w, http.StatusOK, merged)
+	httpx.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleJob proxies GET/DELETE /v1/jobs/{id}. The replica prefix pins
@@ -469,12 +463,12 @@ func (g *Gate) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, api.PathJobs+"/")
 	if id == "" || strings.Contains(id, "/") {
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
+		httpx.NotFound(w, r)
 		return
 	}
 	replica, rid, ok := splitJobID(id)
 	if !ok || replica >= len(g.replicas) {
-		g.writeError(w, r, api.CodeJobNotFound, "no job %q on this cluster", id)
+		httpx.WriteError(w, r, api.Errorf(api.CodeJobNotFound, "no job %q on this cluster", id))
 		return
 	}
 	c := g.pool.Get(g.replicas[replica])
@@ -486,7 +480,7 @@ func (g *Gate) handleJob(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		job, err = c.CancelJob(r.Context(), rid)
 	default:
-		g.writeError(w, r, api.CodeMethodNotAllowed, "job routes accept GET and DELETE")
+		httpx.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "job routes accept GET and DELETE"))
 		return
 	}
 	if err != nil {
@@ -498,14 +492,13 @@ func (g *Gate) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	g.tracker.RecordSuccess(replica)
 	job.ID = prefixJobID(replica, job.ID)
-	writeJSON(w, http.StatusOK, job)
+	httpx.WriteJSON(w, http.StatusOK, job)
 }
 
 // handleModels merges GET /v1/models across live replicas, annotating
 // each entry with its replica URL.
 func (g *Gate) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "models listing requires GET")
+	if !httpx.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	merged := fanout(g, r.Context(), func(ctx context.Context, replica int, c *client.Client) ([]api.ModelInfo, error) {
@@ -522,7 +515,7 @@ func (g *Gate) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.Replica < b.Replica
 	})
-	writeJSON(w, http.StatusOK, merged)
+	httpx.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleModelDetail proxies GET /v1/models/{id} across live replicas
@@ -534,11 +527,10 @@ func (g *Gate) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 	if id == "" || strings.Contains(id, "/") {
 		// Suffixed model routes (e.g. the blob replication pair) are
 		// replica-to-replica traffic, not gate surface.
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
+		httpx.NotFound(w, r)
 		return
 	}
-	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "model detail requires GET")
+	if !httpx.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	found := fanout(g, r.Context(), func(ctx context.Context, replica int, c *client.Client) ([]api.ModelDetail, error) {
@@ -553,7 +545,7 @@ func (g *Gate) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 		return []api.ModelDetail{*det}, nil
 	})
 	if len(found) == 0 {
-		g.writeError(w, r, api.CodeModelNotFound, "no replica holds model %s", id)
+		httpx.WriteError(w, r, api.Errorf(api.CodeModelNotFound, "no replica holds model %s", id))
 		return
 	}
 	best := found[0]
@@ -562,16 +554,15 @@ func (g *Gate) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 			best = det
 		}
 	}
-	writeJSON(w, http.StatusOK, best)
+	httpx.WriteJSON(w, http.StatusOK, best)
 }
 
 // handleHealthz reports the gate's own liveness plus the cluster view.
 func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "healthz requires GET")
+	if !httpx.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, api.GateHealth{
+	httpx.WriteJSON(w, http.StatusOK, api.GateHealth{
 		Status:    "ok",
 		UptimeSec: time.Since(g.start).Seconds(),
 		Served:    g.served.Value(),
@@ -581,7 +572,7 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Hedges:    g.hedges.Value(),
 		HedgeWins: g.hedgeWins.Value(),
 		Degraded:  g.degradedHits.Value(),
-		Routes:    g.metrics.snapshot(),
+		Routes:    g.routes.Stats(),
 	})
 }
 
@@ -642,36 +633,14 @@ func splitJobID(id string) (replica int, rest string, ok bool) {
 	return n, id[dash+1:], true
 }
 
-// decodeBody decodes a bounded JSON request body.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)
-	return json.NewDecoder(r.Body).Decode(v)
-}
-
-// writeJSON writes one JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the gate's own typed error envelope (with the
-// Retry-After hint on backpressure codes).
-func (g *Gate) writeError(w http.ResponseWriter, r *http.Request, code, format string, args ...any) {
-	writeEnvelope(w, r, api.Errorf(code, format, args...))
-}
-
 // writeCallError renders a routed-call failure: replica API errors pass
 // through verbatim (status, code, message, Retry-After), transport
 // exhaustion becomes the gate's 502.
 func (g *Gate) writeCallError(w http.ResponseWriter, r *http.Request, err error) {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		if secs := api.RetryAfterSecs(ae.Info.Code); secs > 0 {
-			w.Header().Set(api.RetryAfterHeader, strconv.Itoa(secs))
-		}
-		writeJSON(w, ae.Status, api.ErrorBody{Error: ae.Info, RequestID: requestID(r)})
+		httpx.WriteErrorStatus(w, r, ae.Status, &ae.Info)
 		return
 	}
-	g.writeError(w, r, api.CodeReplicaUnavailable, "replica call failed: %v", err)
+	httpx.WriteError(w, r, api.Errorf(api.CodeReplicaUnavailable, "replica call failed: %v", err))
 }

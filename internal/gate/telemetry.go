@@ -2,9 +2,7 @@ package gate
 
 import (
 	"log/slog"
-	"net/http"
 	"strconv"
-	"strings"
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/telemetry"
@@ -62,26 +60,4 @@ func (g *Gate) Traces() *telemetry.Recorder { return g.tele.rec }
 // (0 disables) — the pnpgate -trace-log flag.
 func (g *Gate) SetTraceLogging(every int) {
 	g.tele.rec.SetLogging(slog.Default(), every)
-}
-
-// handleTrace serves GET /v1/traces/{id}: the gate-side span timeline of
-// one request. The same ID on a replica's /v1/traces/{id} shows the
-// downstream half.
-func (g *Gate) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "traces require GET")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, api.PathTraces+"/")
-	if id == "" || strings.Contains(id, "/") {
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
-		return
-	}
-	tr, ok := g.tele.rec.Get(id)
-	if !ok {
-		g.writeError(w, r, api.CodeNotFound,
-			"no trace %q (unknown, or evicted from the bounded trace window)", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
 }

@@ -1,3 +1,11 @@
+// Package loadgen is the open-loop load generator behind cmd/pnpload:
+// Poisson arrivals at a fixed offered rate (arrivals never wait for
+// completions, so server slowdowns surface as latency instead of
+// silently throttling the load), a weighted predict/tune/job traffic
+// mix over the model-key space, and per-op log-linear latency
+// histograms (telemetry.Histogram, the same bucketing the servers
+// expose at /metrics) from which the p50/p90/p99 and throughput report
+// is derived.
 package loadgen
 
 import (
@@ -14,6 +22,7 @@ import (
 	"pnptuner/internal/api"
 	"pnptuner/internal/client"
 	"pnptuner/internal/kernels"
+	"pnptuner/internal/telemetry"
 )
 
 // Op names in reports.
@@ -141,7 +150,7 @@ type Report struct {
 
 // opStats accumulates one op's outcomes during the run.
 type opStats struct {
-	hist     Histogram
+	hist     *telemetry.Histogram
 	count    atomic.Int64
 	errs     atomic.Int64
 	timeouts atomic.Int64
@@ -182,16 +191,18 @@ func (s *opStats) fail(err error) {
 
 func (s *opStats) report(withHist bool) *OpReport {
 	r := &OpReport{
-		Count:      s.count.Load(),
-		Errors:     s.errs.Load(),
-		Timeouts:   s.timeouts.Load(),
-		Shed:       s.shed.Load(),
-		Degraded:   s.degraded.Load(),
-		P50Millis:  ms(s.hist.Quantile(0.50)),
-		P90Millis:  ms(s.hist.Quantile(0.90)),
-		P99Millis:  ms(s.hist.Quantile(0.99)),
-		MeanMillis: ms(s.hist.Mean()),
-		MaxMillis:  ms(s.hist.Max()),
+		Count:     s.count.Load(),
+		Errors:    s.errs.Load(),
+		Timeouts:  s.timeouts.Load(),
+		Shed:      s.shed.Load(),
+		Degraded:  s.degraded.Load(),
+		P50Millis: ms(s.hist.Quantile(0.50)),
+		P90Millis: ms(s.hist.Quantile(0.90)),
+		P99Millis: ms(s.hist.Quantile(0.99)),
+		MaxMillis: ms(s.hist.Max()),
+	}
+	if n := s.hist.Count(); n > 0 {
+		r.MeanMillis = ms(s.hist.Sum() / n)
 	}
 	s.mu.Lock()
 	if len(s.byCode) > 0 {
@@ -202,12 +213,22 @@ func (s *opStats) report(withHist bool) *OpReport {
 	}
 	s.mu.Unlock()
 	if withHist {
-		r.Histogram = s.hist.Buckets()
+		for _, b := range s.hist.Buckets() {
+			r.Histogram = append(r.Histogram, BucketCount{UpToMillis: ms(b.Mid), Count: b.Count})
+		}
 	}
 	return r
 }
 
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+// BucketCount is one exported histogram bucket: its midpoint in
+// milliseconds and its count.
+type BucketCount struct {
+	UpToMillis float64 `json:"le_ms"`
+	Count      uint64  `json:"count"`
+}
+
+// ms converts recorded nanoseconds to milliseconds.
+func ms(ns uint64) float64 { return float64(ns) / 1e6 }
 
 // Run drives the configured load until Duration elapses (or ctx is
 // cancelled), waits for stragglers, and returns the report.
@@ -241,7 +262,10 @@ func Run(ctx context.Context, cfg Config, withHistograms bool) (*Report, error) 
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	wsum := cfg.PredictWeight + cfg.TuneWeight + cfg.JobWeight
-	stats := map[string]*opStats{OpPredict: {}, OpTune: {}, OpJob: {}}
+	stats := map[string]*opStats{}
+	for _, op := range []string{OpPredict, OpTune, OpJob} {
+		stats[op] = &opStats{hist: telemetry.NewHistogram()}
+	}
 	var sent, shed atomic.Int64
 	sem := make(chan struct{}, cfg.MaxInFlight)
 	var wg sync.WaitGroup
@@ -322,7 +346,7 @@ func Run(ctx context.Context, cfg Config, withHistograms bool) (*Report, error) 
 				st.fail(err)
 				return
 			}
-			st.hist.Record(time.Since(t0))
+			st.hist.ObserveDuration(time.Since(t0))
 		}()
 	}
 	wg.Wait()

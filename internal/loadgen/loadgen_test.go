@@ -2,74 +2,12 @@ package loadgen
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 	"time"
 
 	"pnptuner/internal/client"
 	"pnptuner/internal/testutil"
 )
-
-// TestBucketRoundTrip: every bucket's midpoint maps back to the same
-// bucket, and the midpoint is within the scheme's relative error of
-// any value placed in that bucket.
-func TestBucketRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 20000; i++ {
-		v := uint64(rng.Int63n(int64(10 * time.Minute)))
-		idx := bucketIndex(v)
-		mid := uint64(bucketValue(idx))
-		if got := bucketIndex(mid); got != idx {
-			t.Fatalf("midpoint of bucket %d lands in bucket %d (v=%d)", idx, got, v)
-		}
-		if v >= subCount {
-			rel := float64(mid) - float64(v)
-			if rel < 0 {
-				rel = -rel
-			}
-			if rel/float64(v) > 1.0/float64(subCount)+1e-9 {
-				t.Fatalf("bucket error for %d: midpoint %d off by %.1f%%", v, mid, 100*rel/float64(v))
-			}
-		}
-	}
-}
-
-// TestHistogramQuantiles: known uniform data comes back with the right
-// count, near-exact mean/max, and quantiles within the bucketing
-// error.
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 1000*time.Millisecond {
-		t.Fatalf("max = %s", h.Max())
-	}
-	if mean := h.Mean(); mean < 499*time.Millisecond || mean > 502*time.Millisecond {
-		t.Fatalf("mean = %s, want ≈500.5ms", mean)
-	}
-	check := func(q float64, want time.Duration) {
-		t.Helper()
-		got := h.Quantile(q)
-		lo := want - want/16 // one sub-bucket of slack
-		hi := want + want/16
-		if got < lo || got > hi {
-			t.Fatalf("q%.2f = %s, want %s ± 6%%", q, got, want)
-		}
-	}
-	check(0.50, 500*time.Millisecond)
-	check(0.90, 900*time.Millisecond)
-	check(0.99, 990*time.Millisecond)
-	if h.Quantile(1.0) < 990*time.Millisecond {
-		t.Fatalf("q1.0 = %s", h.Quantile(1.0))
-	}
-	if len(h.Buckets()) == 0 {
-		t.Fatal("no exported buckets")
-	}
-}
 
 // TestRunAgainstCluster drives a short mixed-op run against a real
 // 2-replica cluster: clean error-free completion with nonzero

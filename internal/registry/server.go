@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pnptuner/internal/api"
+	"pnptuner/internal/httpx"
 	"pnptuner/internal/programl"
 	"pnptuner/internal/telemetry"
 	"pnptuner/internal/vocab"
@@ -24,18 +25,20 @@ import (
 // cache capacity, so the operator's -cache flag bounds resident models,
 // not just registry entries.
 //
-// Routes (legacy pre-versioning aliases in parentheses):
+// Routes:
 //
-//	POST   /v1/predict    (/predict)  micro-batched model predictions
-//	POST   /v1/tune       (/tune)     engine session; async:true → 202 + Job
-//	GET    /v1/jobs                   list retained jobs
-//	GET    /v1/jobs/{id}              poll one job's status/trace/result
-//	DELETE /v1/jobs/{id}              cancel a queued or running job
-//	GET    /v1/models     (/models)   registry contents
-//	GET    /v1/models/{id}            one model's version + refresh detail
-//	GET    /v1/models/{id}/blob       export a model's serialized blob
-//	PUT    /v1/models/{id}/blob       import a peer's serialized blob
-//	GET    /v1/healthz    (/healthz)  liveness, traffic and route counters
+//	POST   /v1/predict          micro-batched model predictions
+//	POST   /v1/tune             engine session; async:true → 202 + Job
+//	GET    /v1/jobs             list retained jobs
+//	GET    /v1/jobs/{id}        poll one job's status/trace/result
+//	DELETE /v1/jobs/{id}        cancel a queued or running job
+//	GET    /v1/models           registry contents
+//	GET    /v1/models/{id}      one model's version + refresh detail
+//	GET    /v1/models/{id}/blob export a model's serialized blob
+//	PUT    /v1/models/{id}/blob import a peer's serialized blob
+//	GET    /v1/healthz          liveness, traffic and route counters
+//	GET    /v1/traces/{id}      one request's span timeline
+//	GET    /metrics             Prometheus text exposition
 type Server struct {
 	reg      *Registry
 	vocab    *vocab.Vocabulary
@@ -44,7 +47,7 @@ type Server struct {
 	start    time.Time
 	jobs     *JobStore
 	tele     *serverTelemetry
-	metrics  *routeMetrics
+	routes   *httpx.Routes
 	inflight int
 	quantize bool
 
@@ -121,7 +124,7 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 		inflight:   cfg.MaxInflight,
 		jobs:       jobs,
 		tele:       tele,
-		metrics:    newRouteMetrics(tele.tel),
+		routes:     httpx.NewRoutes(tele.tel, "pnp"),
 		batchers:   newLRU(reg.Capacity()),
 		closing:    map[string]chan struct{}{},
 		canaries:   map[string]*canary{},
@@ -129,51 +132,28 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 	}
 }
 
-// Handler returns the route mux: the v1 surface, the deprecated legacy
-// aliases, and the request-ID + per-route-metrics middleware around
-// everything.
+// Handler returns the route mux wrapped in the request-ID and
+// X-Deadline middleware; every route but /metrics is instrumented as
+// the pnp_http_* families.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.metrics.wrap(pattern, h))
-	}
-	// The heavy routes share one limiter per handler across their v1 and
-	// legacy mounts — the bound is on the work, not the spelling of the
-	// path. Cheap routes (jobs, models, healthz) stay unlimited so
-	// overload never blinds the operator or wedges the refresh loop.
-	predict := withLimit(s.inflight, s.handlePredict)
-	tune := withLimit(s.inflight, s.handleTune)
-	route(api.PathPredict, predict)
-	route(api.PathTune, tune)
-	route(api.PathJobs, s.handleJobs)
-	route(api.PathJobs+"/", s.handleJob)
-	route(api.PathModels, s.handleModels)
-	route(api.PathModels+"/", s.handleModelBlob)
-	route(api.PathHealthz, s.handleHealthz)
-	route(api.PathTraces+"/", s.handleTrace)
+	// The heavy routes get one concurrency limiter each. Cheap routes
+	// (jobs, models, healthz) stay unlimited so overload never blinds the
+	// operator or wedges the refresh loop.
+	s.routes.Handle(mux, api.PathPredict, withLimit(s.inflight, s.handlePredict))
+	s.routes.Handle(mux, api.PathTune, withLimit(s.inflight, s.handleTune))
+	s.routes.Handle(mux, api.PathJobs, s.handleJobs)
+	s.routes.Handle(mux, api.PathJobs+"/", s.handleJob)
+	s.routes.Handle(mux, api.PathModels, s.handleModels)
+	s.routes.Handle(mux, api.PathModels+"/", s.handleModelBlob)
+	s.routes.Handle(mux, api.PathHealthz, s.handleHealthz)
+	s.routes.Handle(mux, api.PathTraces+"/", httpx.TraceHandler(s.tele.rec))
+	s.routes.Handle(mux, "/", httpx.NotFound)
 	// /metrics stays outside the route wrapper: scrapes must not skew the
 	// pnp_http_* families they read, and the path is unversioned by
 	// convention (Prometheus scrapers expect exactly /metrics).
 	mux.Handle("/metrics", s.tele.tel.Handler())
-
-	// Legacy pre-versioning aliases: same handlers, same bodies, plus
-	// deprecation headers pointing at the successor route.
-	legacy := func(pattern string, successor string, h http.HandlerFunc) {
-		route(pattern, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-			h(w, r)
-		})
-	}
-	legacy("/predict", api.PathPredict, predict)
-	legacy("/tune", api.PathTune, tune)
-	legacy("/models", api.PathModels, s.handleModels)
-	legacy("/healthz", api.PathHealthz, s.handleHealthz)
-
-	mux.HandleFunc("/", s.metrics.wrap("(unmatched)", func(w http.ResponseWriter, r *http.Request) {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
-	}))
-	return telemetry.WithRequestID(s.tele.rec, withDeadline(mux))
+	return telemetry.WithRequestID(s.tele.rec, httpx.WithDeadline(mux))
 }
 
 // Shutdown stops the server gracefully: the job store drains (queued
@@ -293,13 +273,11 @@ func (s *Server) batcherFor(ctx context.Context, key Key) (*Batcher, error) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if info := requireMethod(r, http.MethodPost); info != nil {
-		s.writeErr(w, r, info)
+	if !httpx.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req api.PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
-		s.writeErr(w, r, decodeErrInfo(err))
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Scenario == "" {
@@ -307,20 +285,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	key := Key{Machine: req.Machine, Scenario: req.Scenario, Objective: req.Objective}
 	if err := key.Validate(); err != nil {
-		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
+		httpx.WriteError(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
 	if len(req.Graph) == 0 || string(req.Graph) == "null" {
-		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "request has no graph"))
+		httpx.WriteError(w, r, api.Errorf(api.CodeBadRequest, "request has no graph"))
 		return
 	}
 	g := &programl.Graph{}
 	if err := json.Unmarshal(req.Graph, g); err != nil {
-		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "decode graph: %v", err))
+		httpx.WriteError(w, r, api.Errorf(api.CodeBadRequest, "decode graph: %v", err))
 		return
 	}
 	if len(g.Nodes) > api.MaxGraphNodes || len(g.Edges) > api.MaxGraphEdges {
-		s.writeErr(w, r, api.Errorf(api.CodeGraphTooLarge,
+		httpx.WriteError(w, r, api.Errorf(api.CodeGraphTooLarge,
 			"graph too large (%d nodes, %d edges; limits %d, %d)",
 			len(g.Nodes), len(g.Edges), api.MaxGraphNodes, api.MaxGraphEdges))
 		return
@@ -330,7 +308,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp, err := key.Space()
 	if err != nil {
 		// Unreachable after key.Validate; classified as server-side.
-		s.writeErr(w, r, api.Errorf(api.CodeInternal, "%v", err))
+		httpx.WriteError(w, r, api.Errorf(api.CodeInternal, "%v", err))
 		return
 	}
 
@@ -338,7 +316,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The key already validated, so resolve failures are server-side
 		// (or the model is genuinely absent and untrainable).
-		s.writeErr(w, r, resolveErrInfo(err))
+		httpx.WriteError(w, r, resolveErrInfo(err))
 		return
 	}
 	picks, err := b.PredictContext(r.Context(), Request{Graph: g, Extras: req.Counters})
@@ -359,7 +337,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.Canceled):
 			info = api.Errorf(api.CodeUnavailable, "request cancelled before prediction completed")
 		}
-		s.writeErr(w, r, info)
+		httpx.WriteError(w, r, info)
 		return
 	}
 
@@ -401,17 +379,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	if info := requireMethod(r, http.MethodPost); info != nil {
-		s.writeErr(w, r, info)
+	if !httpx.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req api.TuneRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
-		s.writeErr(w, r, decodeErrInfo(err))
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	// Model-free strategies never touch the batchers, so without this
@@ -420,47 +396,46 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		s.writeErr(w, r, api.Errorf(api.CodeUnavailable, "server is shutting down"))
+		httpx.WriteError(w, r, api.Errorf(api.CodeUnavailable, "server is shutting down"))
 		return
 	}
 	ts, info := s.prepTune(req)
 	if info != nil {
-		s.writeErr(w, r, info)
+		httpx.WriteError(w, r, info)
 		return
 	}
 	if req.Async {
 		job, info := s.jobs.Submit(ts.req, ts.run)
 		if info != nil {
-			s.writeErr(w, r, info)
+			httpx.WriteError(w, r, info)
 			return
 		}
 		s.served.Add(1)
-		writeJSON(w, http.StatusAccepted, job)
+		httpx.WriteJSON(w, http.StatusAccepted, job)
 		return
 	}
 	resp, info := ts.run(r.Context())
 	if info != nil {
-		s.writeErr(w, r, info)
+		httpx.WriteError(w, r, info)
 		return
 	}
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleJobs lists retained jobs, oldest first.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+	if !httpx.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.List())
+	httpx.WriteJSON(w, http.StatusOK, s.jobs.List())
 }
 
 // handleJob polls (GET) or cancels (DELETE) one job by ID.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, api.PathJobs+"/")
 	if id == "" || strings.Contains(id, "/") {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
+		httpx.NotFound(w, r)
 		return
 	}
 	var job api.Job
@@ -474,22 +449,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		info = api.Errorf(api.CodeMethodNotAllowed, "%s not allowed (want GET or DELETE)", r.Method)
 	}
 	if info != nil {
-		s.writeErr(w, r, info)
+		httpx.WriteError(w, r, info)
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	httpx.WriteJSON(w, http.StatusOK, job)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+	if !httpx.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	s.mu.Lock()
 	nBatchers := s.batchers.len()
 	s.mu.Unlock()
 	st := s.reg.Stats()
-	writeJSON(w, http.StatusOK, api.Health{
+	httpx.WriteJSON(w, http.StatusOK, api.Health{
 		Status:          "ok",
 		UptimeSec:       time.Since(s.start).Seconds(),
 		Served:          s.served.Load(),
@@ -502,13 +476,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Evicted:         st.Evicted,
 		PersistFailures: st.PersistFailures,
 		Jobs:            s.jobs.Stats(),
-		Routes:          s.metrics.snapshot(),
+		Routes:          s.routes.Stats(),
 	})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+	if !httpx.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	infos := s.reg.List()
@@ -530,38 +503,5 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Meta:   meta,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// requireMethod returns the method_not_allowed error when r's method
-// isn't want.
-func requireMethod(r *http.Request, want string) *api.ErrorInfo {
-	if r.Method != want {
-		return api.Errorf(api.CodeMethodNotAllowed, "%s not allowed (want %s)", r.Method, want)
-	}
-	return nil
-}
-
-// decodeErrInfo classifies a request-body decode failure: an oversized
-// body trips the contract ceiling, everything else is malformed JSON.
-func decodeErrInfo(err error) *api.ErrorInfo {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return api.Errorf(api.CodeGraphTooLarge, "request body over %d bytes", api.MaxRequestBytes)
-	}
-	return api.Errorf(api.CodeBadRequest, "decode request: %v", err)
-}
-
-// writeErr renders the v1 error envelope with the request's correlation
-// ID and the code's canonical status, plus the Retry-After hint for
-// backpressure codes so clients can pace their retries off the server's
-// word instead of guessing with backoff.
-func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, info *api.ErrorInfo) {
-	writeShed(w, r, info)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }

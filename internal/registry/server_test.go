@@ -15,6 +15,7 @@ import (
 	"pnptuner/internal/api"
 	"pnptuner/internal/core"
 	"pnptuner/internal/kernels"
+	"pnptuner/internal/telemetry"
 )
 
 // newTestServer wires a registry with the tiny trainer behind httptest.
@@ -82,7 +83,7 @@ func TestServerPredictTimeAndEDP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if resp.Header.Get(RequestIDHeader) == "" {
+	if resp.Header.Get(telemetry.TraceHeader) == "" {
 		t.Fatal("no request ID header on the response")
 	}
 	var pr api.PredictResponse
@@ -113,30 +114,24 @@ func TestServerPredictTimeAndEDP(t *testing.T) {
 	}
 }
 
-// TestServerLegacyPredictAlias: the pre-versioning /predict path serves
-// the identical body, flagged deprecated.
-func TestServerLegacyPredictAlias(t *testing.T) {
+// TestServerLegacyAliasesRemoved: the pre-versioning aliases are gone;
+// their paths answer like any unknown route.
+func TestServerLegacyAliasesRemoved(t *testing.T) {
 	_, ts := newTestServer(t)
-	body := predictBody(t, "haswell", ObjectiveTime, 0)
-
-	v1 := postPredict(t, ts, api.PathPredict, body)
-	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy alias not flagged deprecated")
-	}
-	if !strings.Contains(resp.Header.Get("Link"), api.PathPredict) {
-		t.Fatalf("legacy Link header = %q", resp.Header.Get("Link"))
-	}
-	var legacy api.PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, legacy) {
-		t.Fatalf("legacy /predict diverges from v1: %+v vs %+v", legacy, v1)
+	for _, path := range []string{"/predict", "/tune", "/models", "/healthz"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, _ := http.NewRequest(method, ts.URL+path, bytes.NewReader([]byte("{}")))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := decodeError(t, resp)
+			resp.Body.Close()
+			if body.Error.Code != api.CodeNotFound || resp.Header.Get("Deprecation") != "" {
+				t.Fatalf("%s %s = %d %q (Deprecation %q), want 404 not_found",
+					method, path, resp.StatusCode, body.Error.Code, resp.Header.Get("Deprecation"))
+			}
+		}
 	}
 }
 
@@ -202,20 +197,11 @@ func TestServerErrorCodes(t *testing.T) {
 		{"GET /v1/predict", func() (*http.Response, error) {
 			return http.Get(ts.URL + api.PathPredict)
 		}, api.CodeMethodNotAllowed},
-		{"GET legacy /predict", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/predict")
-		}, api.CodeMethodNotAllowed},
 		{"POST /v1/healthz", func() (*http.Response, error) {
 			return http.Post(ts.URL+api.PathHealthz, "application/json", nil)
 		}, api.CodeMethodNotAllowed},
 		{"POST /v1/models", func() (*http.Response, error) {
 			return http.Post(ts.URL+api.PathModels, "application/json", nil)
-		}, api.CodeMethodNotAllowed},
-		{"POST legacy /healthz", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/healthz", "application/json", nil)
-		}, api.CodeMethodNotAllowed},
-		{"POST legacy /models", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/models", "application/json", nil)
 		}, api.CodeMethodNotAllowed},
 		{"unknown route", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v2/predict")
@@ -330,15 +316,15 @@ func TestServerModelNotFound(t *testing.T) {
 func TestServerRequestID(t *testing.T) {
 	_, ts := newTestServer(t)
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+api.PathJobs+"/missing", nil)
-	req.Header.Set(RequestIDHeader, "corr-42")
+	req.Header.Set(telemetry.TraceHeader, "corr-42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := decodeError(t, resp)
 	resp.Body.Close()
-	if body.RequestID != "corr-42" || resp.Header.Get(RequestIDHeader) != "corr-42" {
-		t.Fatalf("request ID not echoed: body %q header %q", body.RequestID, resp.Header.Get(RequestIDHeader))
+	if body.RequestID != "corr-42" || resp.Header.Get(telemetry.TraceHeader) != "corr-42" {
+		t.Fatalf("request ID not echoed: body %q header %q", body.RequestID, resp.Header.Get(telemetry.TraceHeader))
 	}
 }
 
@@ -418,44 +404,40 @@ func TestServerHealthzAndModels(t *testing.T) {
 	_, ts := newTestServer(t)
 	postPredict(t, ts, api.PathPredict, predictBody(t, "haswell", ObjectiveTime, 0))
 
-	for _, path := range []string{api.PathHealthz, "/healthz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var health api.Health
-		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if health.Status != "ok" {
-			t.Fatalf("%s health = %+v", path, health)
-		}
-		if health.Served < 1 || health.ModelsTrained != 1 {
-			t.Fatalf("%s health counters = %+v", path, health)
-		}
-		// Per-route metrics surface in the health body.
-		if health.Routes[api.PathPredict].Count < 1 {
-			t.Fatalf("%s route metrics missing /v1/predict: %+v", path, health.Routes)
-		}
+	resp, err := http.Get(ts.URL + api.PathHealthz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health api.Health
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if health.Status != "ok" {
+		t.Fatalf("health = %+v", health)
+	}
+	if health.Served < 1 || health.ModelsTrained != 1 {
+		t.Fatalf("health counters = %+v", health)
+	}
+	// Per-route metrics surface in the health body.
+	if health.Routes[api.PathPredict].Count < 1 {
+		t.Fatalf("route metrics missing /v1/predict: %+v", health.Routes)
 	}
 
-	for _, path := range []string{api.PathModels, "/models"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var infos []api.ModelInfo
-		if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if len(infos) != 1 || !infos[0].Cached || infos[0].Key.Machine != "haswell" {
-			t.Fatalf("%s models = %+v", path, infos)
-		}
-		if len(infos[0].Meta) == 0 {
-			t.Fatalf("%s model meta missing: %+v", path, infos[0])
-		}
+	resp, err = http.Get(ts.URL + api.PathModels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var infos []api.ModelInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(infos) != 1 || !infos[0].Cached || infos[0].Key.Machine != "haswell" {
+		t.Fatalf("models = %+v", infos)
+	}
+	if len(infos[0].Meta) == 0 {
+		t.Fatalf("model meta missing: %+v", infos[0])
 	}
 }
 
@@ -626,8 +608,8 @@ func pollJob(t *testing.T, base, id string) api.Job {
 
 // TestServerAsyncTuneParity is the acceptance criterion: for the same
 // (model, region, strategy, seed, budget), the synchronous /v1/tune
-// response, the async job's result, and the legacy /tune response are
-// bit-identical — best config and full trace.
+// response and the async job's result are bit-identical — best config
+// and full trace.
 func TestServerAsyncTuneParity(t *testing.T) {
 	_, ts := newTestServer(t)
 	c := kernels.MustCompile()
@@ -645,14 +627,6 @@ func TestServerAsyncTuneParity(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: sync status %d", name, resp.StatusCode)
 		}
-		resp, legacy := postTune(t, ts.URL, "/tune", tuneBody(t, req))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: legacy status %d", name, resp.StatusCode)
-		}
-		if !reflect.DeepEqual(sync, legacy) {
-			t.Fatalf("%s: legacy /tune diverges from v1:\n%+v\n%+v", name, legacy, sync)
-		}
-
 		async := req
 		async.Async = true
 		aresp, err := http.Post(ts.URL+api.PathTune, "application/json", bytes.NewReader(tuneBody(t, async)))

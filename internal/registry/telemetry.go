@@ -2,12 +2,9 @@ package registry
 
 import (
 	"log/slog"
-	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"pnptuner/internal/api"
 	"pnptuner/internal/telemetry"
 )
 
@@ -161,27 +158,4 @@ func (s *Server) Traces() *telemetry.Recorder { return s.tele.rec }
 // (0 disables) — the pnpserve -trace-log flag.
 func (s *Server) SetTraceLogging(every int) {
 	s.tele.rec.SetLogging(slog.Default(), every)
-}
-
-// handleTrace serves GET /v1/traces/{id}: the span timeline this
-// process recorded for one request, keyed by its X-Request-ID. Traces
-// are a bounded in-memory window — an unknown ID means the request
-// never reached this process or has been evicted.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, api.PathTraces+"/")
-	if id == "" || strings.Contains(id, "/") {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
-		return
-	}
-	tr, ok := s.tele.rec.Get(id)
-	if !ok {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound,
-			"no trace %q (unknown, or evicted from the bounded trace window)", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
 }

@@ -7,13 +7,12 @@ import (
 	"time"
 )
 
-// Log-linear bucketing, identical to internal/loadgen's client-side
-// histograms: values below 2^subBits are exact; above, each power of
-// two splits into 2^subBits sub-buckets, bounding the relative
-// quantile error at ~1/2^subBits (≈3%) across the full range. Keeping
-// the schemes identical means server-side quantiles scraped from
-// /metrics and client-side quantiles in a pnpload report are directly
-// comparable (and parity-tested so).
+// Log-linear bucketing: values below 2^subBits are exact; above, each
+// power of two splits into 2^subBits sub-buckets, bounding the relative
+// quantile error at ~1/2^subBits (≈3%) across the full range. The same
+// histogram backs server-side /metrics families and internal/loadgen's
+// client-side reports, so a p99 scraped from a server and a p99 in a
+// pnpload report describe latency the same way.
 const (
 	subBits   = 5
 	subCount  = 1 << subBits
@@ -44,12 +43,11 @@ func bucketValue(idx int) int64 {
 
 // Histogram records values into log-linear buckets with lock-free
 // atomic increments — it sits on the serving hot path (every batched
-// predict observes queue wait and forward time), so unlike loadgen's
-// mutex-guarded histogram, the write path is a few atomic adds.
-// Snapshots taken during concurrent writes are internally consistent
-// enough for monitoring (counts are monotone; a reader may see an
-// observation in the bucket array before the total, never after).
-// All methods are nil-safe.
+// predict observes queue wait and forward time), so the write path is
+// a few atomic adds. Snapshots taken during concurrent writes are
+// internally consistent enough for monitoring (counts are monotone; a
+// reader may see an observation in the bucket array before the total,
+// never after). All methods are nil-safe.
 type Histogram struct {
 	counts []atomic.Uint64 // numBucket fine buckets
 	n      atomic.Uint64
@@ -57,7 +55,9 @@ type Histogram struct {
 	max    atomic.Int64
 }
 
-func newHistogram() *Histogram {
+// NewHistogram builds a standalone histogram, outside any registry
+// (load generators keep one per operation).
+func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]atomic.Uint64, numBucket)}
 }
 
@@ -103,10 +103,21 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
+// Max returns the largest observation in recorded units (exact).
+func (h *Histogram) Max() uint64 {
+	if h == nil {
+		return 0
+	}
+	return uint64(h.max.Load())
+}
+
 // Quantile returns the q-quantile (0 < q ≤ 1) in recorded units, 0
-// when empty. The rank is ceil(q·n) — the smallest value with at least
-// a q fraction of observations at or below it — and the answer is that
-// rank's bucket midpoint, mirroring loadgen's quantile exactly.
+// when empty. The answer is the midpoint of the bucket holding the
+// target rank, so it carries the bucketing's ~3% relative error. The
+// rank is ceil(q·n): the smallest value with at least a q fraction of
+// the observations at or below it (truncating instead would read one
+// rank low whenever q·n is fractional — p90 of 15 samples is rank 14,
+// not 13).
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h == nil {
 		return 0
@@ -130,6 +141,28 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return uint64(h.max.Load())
+}
+
+// Bucket is one non-empty fine bucket: its midpoint value in recorded
+// units and its observation count.
+type Bucket struct {
+	Mid   uint64
+	Count uint64
+}
+
+// Buckets exports the non-empty fine buckets in ascending order, for
+// report artifacts.
+func (h *Histogram) Buckets() []Bucket {
+	if h == nil {
+		return nil
+	}
+	var out []Bucket
+	for i := range h.counts {
+		if c := h.counts[i].Load(); c > 0 {
+			out = append(out, Bucket{Mid: uint64(bucketValue(i)), Count: c})
+		}
+	}
+	return out
 }
 
 // cumulative fills counts with a point-in-time copy of the fine

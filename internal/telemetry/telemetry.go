@@ -150,7 +150,7 @@ func (f *family) with(values []string) *series {
 	}
 	s := &series{labelVals: append([]string(nil), values...)}
 	if f.typ == "histogram" {
-		s.hist = newHistogram()
+		s.hist = NewHistogram()
 	}
 	f.series[key] = s
 	return s

@@ -259,22 +259,34 @@ func WithRequestID(rec *Recorder, next http.Handler) http.Handler {
 			return
 		}
 		start := time.Now()
-		sw := &statusCapture{ResponseWriter: w, status: http.StatusOK}
+		sw := CaptureStatus(w)
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		d := time.Since(start)
 		rec.Add(id, "http "+r.Method+" "+r.URL.Path, start, d,
-			"status", strconv.Itoa(sw.status))
-		rec.maybeLog(id, r.Method, r.URL.Path, sw.status, d)
+			"status", strconv.Itoa(sw.Status))
+		rec.maybeLog(id, r.Method, r.URL.Path, sw.Status, d)
 	})
 }
 
-// statusCapture records the response status for the root span.
-type statusCapture struct {
+// StatusWriter records the status a handler answered with (200 when it
+// never called WriteHeader). CaptureStatus reuses one an outer
+// middleware already installed, so the trace root span and the
+// per-route metrics of one request share a single writer.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (w *statusCapture) WriteHeader(status int) {
-	w.status = status
+// CaptureStatus returns w as a *StatusWriter, wrapping it only when no
+// outer middleware has.
+func CaptureStatus(w http.ResponseWriter) *StatusWriter {
+	if sw, ok := w.(*StatusWriter); ok {
+		return sw
+	}
+	return &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
+}
+
+func (w *StatusWriter) WriteHeader(status int) {
+	w.Status = status
 	w.ResponseWriter.WriteHeader(status)
 }
